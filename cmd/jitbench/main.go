@@ -57,18 +57,10 @@ func main() {
 		fail("-size must be in (0,1], got %g", *size)
 	case *shards < 1:
 		fail("-shards must be at least 1, got %d", *shards)
-	case *zipf != 0 && *zipf <= 1:
-		fail("-zipf exponent must exceed 1, got %g", *zipf)
-	case *burst < 0 || (*burst > 0 && *burst < 1):
-		fail("-burst factor must be at least 1, got %g", *burst)
-	case *burstPeriod < 0:
-		fail("-burst-period cannot be negative, got %g", *burstPeriod)
-	case *burstPeriod > 0 && *burst <= 1:
-		fail("-burst-period set but the burst factor is off (set -burst > 1)")
-	case *disorder < 0:
-		fail("-disorder cannot be negative, got %g", *disorder)
-	case *band < 0:
-		fail("-band cannot be negative, got %d", *band)
+	}
+	m := exp.Mutators{Zipf: *zipf, Burst: *burst, BurstPeriod: *burstPeriod, Disorder: *disorder, Band: float64(*band)}
+	if err := m.Check(); err != nil {
+		fail("%v", err)
 	}
 
 	cfg := exp.Config{Scale: *scale, SizeScale: *size, Seed: *seed, Indexed: *indexed, Shards: *shards, Modes: exp.DefaultModes()}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/exp"
 	"repro/internal/predicate"
 	"repro/internal/source"
 	"repro/internal/stream"
@@ -44,14 +45,10 @@ func main() {
 		fail("-dmax must be at least 1, got %d", *dmax)
 	case h <= 0:
 		fail("horizon must be positive (got %v)", h)
-	case *zipf != 0 && *zipf <= 1:
-		fail("-zipf exponent must exceed 1, got %g", *zipf)
-	case *burst < 0 || (*burst > 0 && *burst < 1):
-		fail("-burst factor must be at least 1, got %g", *burst)
-	case *burst > 1 && *burstPeriod <= 0:
-		fail("-burst needs a positive -burst-period, got %g", *burstPeriod)
-	case *disorder < 0:
-		fail("-disorder cannot be negative, got %g", *disorder)
+	}
+	m := exp.Mutators{Zipf: *zipf, Burst: *burst, BurstPeriod: *burstPeriod, Disorder: *disorder, OwnPeriod: true}
+	if err := m.Check(); err != nil {
+		fail("%v", err)
 	}
 	cat, _ := predicate.Clique(*n)
 	cfg := source.UniformConfig(*n, *rate, *dmax, h, *seed)

@@ -31,8 +31,9 @@
 //
 // # Why no result is lost or duplicated
 //
-// The run keeps a single sink across plan instances, fronted by a dedup tap
-// keyed on the canonical result identity (stream.Composite.Key). Exact-once
+// The run keeps a single sink across plan instances, fronted by the delivery
+// tap (plan.Tap) keyed on the canonical result identity
+// (stream.Composite.Key); plan.Tap.Handoff performs the swap. Exact-once
 // delivery across the handoff follows from exact-delivery mode (required:
 // the engine rejects Reopt without Drain):
 //
@@ -59,7 +60,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/operator"
 	"repro/internal/plan"
 	"repro/internal/stream"
 )
@@ -151,8 +151,7 @@ type Controller struct {
 	b     *plan.Built
 	shape *plan.Node
 	cands []*plan.Node
-	sink  *operator.Sink
-	tap   *tap
+	tap   *plan.Tap
 
 	started   bool
 	nextEpoch stream.Time
@@ -173,28 +172,30 @@ type Controller struct {
 	forced       bool
 }
 
-// New creates a self-deciding controller (single-engine runs).
+// New creates a self-deciding controller (single-engine runs). It binds to
+// the run's initial plan at its first Decide.
 func New(cfg Config) *Controller { return &Controller{cfg: cfg} }
 
-// NewCoordinated creates a controller whose epoch decisions are made
-// fleet-wide by the coordinator; local epoch boundaries are ignored and the
-// shard runner's barrier markers drive AtBarrier instead.
-func NewCoordinated(cfg Config, coord *Coordinator) *Controller {
-	return &Controller{cfg: cfg, coord: coord}
+// NewCoordinated creates a controller for replica plan b whose epoch
+// decisions are made fleet-wide by the coordinator; local epoch boundaries
+// are ignored and the shard runner's barrier markers drive AtBarrier
+// instead. It binds to b at once, because a barrier can reach a replica
+// before its first arrival does.
+func NewCoordinated(cfg Config, coord *Coordinator, b *plan.Built) *Controller {
+	c := &Controller{cfg: cfg, coord: coord}
+	c.bind(b)
+	return c
 }
 
-// Attach implements engine.Reoptimizer: it binds the controller to the
-// run's initial plan and splices the dedup tap between the plan root and
-// the sink, so every delivery of the run is recorded from the first arrival
-// on. The tap's seen-set grows with the run's final-result count — the
-// price of exactly-once delivery across handoffs.
-func (c *Controller) Attach(b *plan.Built) {
+// bind attaches the controller to the run's initial plan and installs the
+// delivery tap in front of its sink, so every delivery of the run is
+// recorded from the first arrival on.
+func (c *Controller) bind(b *plan.Built) {
 	c.b = b
 	c.shape = b.Shape()
-	c.sink = b.Sink
 	c.cands = c.cfg.candidatesFor(b.Catalog.NumSources())
-	c.tap = &tap{sink: b.Sink, seen: make(map[string]bool), ctr: b.Counters}
-	b.RootJoin().SetConsumer(c.tap, operator.Left)
+	c.tap = plan.NewTap(b.Sink, b.Window, &b.Counters.MigrationDups)
+	c.tap.Install(b, nil)
 	c.lastCost = b.Counters.CostUnits()
 	c.noBaseline = true
 	c.snapStats()
@@ -204,6 +205,9 @@ func (c *Controller) Attach(b *plan.Built) {
 // buffer, runs the epoch evaluation at boundaries (uncoordinated mode), and
 // reports whether a migration is due at this arrival's timestamp.
 func (c *Controller) Decide(t *stream.Tuple, b *plan.Built) bool {
+	if c.b == nil {
+		c.bind(b)
+	}
 	if !c.started {
 		c.started = true
 		c.nextEpoch = t.TS + c.cfg.Epoch
@@ -271,9 +275,9 @@ func (c *Controller) Leave() {
 	}
 }
 
-// Migrate implements engine.Reoptimizer: snapshot the outgoing plan at the
-// cut, rebuild under the target shape, replay the snapshot through the
-// dedup tap, and hand the merged measurement substrate to the successor.
+// Migrate implements engine.Reoptimizer: hand the run over to a plan of the
+// pending shape through the delivery tap (plan.Tap.Handoff), then re-baseline
+// the policy on the successor.
 func (c *Controller) Migrate(cut stream.Time, b *plan.Built) *plan.Built {
 	target := c.pending
 	c.pending = nil
@@ -283,37 +287,9 @@ func (c *Controller) Migrate(cut stream.Time, b *plan.Built) *plan.Built {
 	if c.cfg.MaxMigrations > 0 && c.migrations >= c.cfg.MaxMigrations {
 		return nil
 	}
-	note := c.shape.Canonical() + " -> " + target.Canonical()
-	b.Trace.MigrationStart(cut, note)
-	snap := b.SnapshotInWindow(cut)
-	nb := b.Rebuild(target)
-	for _, j := range nb.Joins {
-		j.SetExact(true)
-	}
-	// The run's one sink spans the handoff; the successor's own sink is
-	// discarded before anything reaches it.
-	nb.Sink = c.sink
-	nb.RootJoin().SetConsumer(c.tap, operator.Left)
-	// The successor inherits the run's tracer before the replay, so replay
-	// probes and suspensions are visible in the trace, attributed to the new
-	// plan's operators (DESIGN.md §9).
-	nb.SetTrace(b.Trace)
-	b.Trace.MigrationCut(cut, len(snap), note)
-	// Both plans are resident while the snapshot replays: charge the
-	// outgoing plan's live bytes to the successor's account for the span of
-	// the replay, and absorb the old high-water mark.
-	oldLive := b.Account.Live()
-	nb.Account.Alloc(oldLive)
-	nb.ReplayInWindow(snap)
-	nb.Account.Free(oldLive)
-	nb.Account.AbsorbPeak(b.Account)
-	nb.Counters.Add(b.Counters)
-	nb.Counters.Migrations++
-	c.sink.SetCounters(nb.Counters)
-	c.tap.ctr = nb.Counters
-	nb.Trace.MigrationDone(cut, nb.Counters.MigrationDups, note)
-	c.logf("adapt: t=%v migrate %s -> %s (replayed %d in-window arrivals, %d dups absorbed so far)",
-		cut, c.shape.Canonical(), target.Canonical(), len(snap), nb.Counters.MigrationDups)
+	nb, replayed := c.tap.Handoff(b, target, cut)
+	c.logf("adapt: t=%v migrate %s -> %s (replayed %d in-window arrivals, %d dups absorbed so far, %d delivery keys held)",
+		cut, c.shape.Canonical(), target.Canonical(), replayed, nb.Counters.MigrationDups, c.tap.Len())
 	c.shape = target
 	c.b = nb
 	c.migrations++
@@ -489,24 +465,4 @@ func renderScores(scores map[string]uint64) string {
 		s += fmt.Sprintf("%s:%d", k, scores[k])
 	}
 	return s + "}"
-}
-
-// tap is the migration dedup filter: the single delivery gate the run's
-// plans share. A composite whose canonical key was already delivered is
-// absorbed (a replay regeneration); everything else passes to the sink.
-type tap struct {
-	sink operator.Consumer
-	seen map[string]bool
-	ctr  *metrics.Counters
-}
-
-// Consume implements operator.Consumer.
-func (t *tap) Consume(c *stream.Composite, p operator.Port) {
-	k := c.Key()
-	if t.seen[k] {
-		t.ctr.MigrationDups++
-		return
-	}
-	t.seen[k] = true
-	t.sink.Consume(c, p)
 }

@@ -159,6 +159,7 @@ func TestMigrationEquivalence(t *testing.T) {
 			Window: 90 * stream.Second, Mode: mode, KeepResults: true, NoStateIndex: noIdx,
 		})
 	}
+	const forceAt = 112 * stream.Second // mid-window: the cut splits live state
 	seeds, modes := int64(3), allModes
 	layouts := []struct {
 		name  string
@@ -177,7 +178,7 @@ func TestMigrationEquivalence(t *testing.T) {
 
 				migrated := build(plan.Bushy(4), m.mode, lay.noIdx)
 				ctrl := adapt.New(adapt.Config{
-					ForceAt: 112 * stream.Second, // mid-window: the cut splits live state
+					ForceAt: forceAt,
 					ForceTo: plan.LeftDeep(4),
 				})
 				migRes := runDrained(migrated, arrivals, ctrl)
@@ -189,6 +190,18 @@ func TestMigrationEquivalence(t *testing.T) {
 					t.Fatalf("seed %d %s/%s: workload delivered no finals — test has no teeth", seed, m.name, lay.name)
 				}
 				sameMultiset(t, m.name+"/"+lay.name, sortedKeys(migrated), sortedKeys(pure))
+
+				// The handoff pruned the tap at the cut, and the successor
+				// only forms results from tuples in-window at the cut, so
+				// at run end the tap still holds no key a replay from the
+				// cut could not regenerate (MinTS+window <= cut).
+				cut := arrivals[sort.Search(len(arrivals), func(i int) bool { return arrivals[i].TS >= forceAt })].TS
+				held := ctrl.Tap().Len()
+				ctrl.Tap().Prune(cut, nil)
+				if held == 0 || ctrl.Tap().Len() != held {
+					t.Fatalf("seed %d %s/%s: tap held %d keys, %d of them expired by the cut %v",
+						seed, m.name, lay.name, held, held-ctrl.Tap().Len(), cut)
+				}
 			}
 		}
 	}

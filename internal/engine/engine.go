@@ -103,9 +103,6 @@ type Options struct {
 // cut: no probe is in flight and every deadline at or before the cut has
 // fired on the outgoing plan before Migrate is called.
 type Reoptimizer interface {
-	// Attach is called once at run start with the initial plan, before any
-	// arrival is processed.
-	Attach(b *plan.Built)
 	// Decide observes one arrival before it is processed and reports
 	// whether the engine should migrate now, at cut time t.TS.
 	Decide(t *stream.Tuple, b *plan.Built) bool
@@ -184,7 +181,7 @@ func (e *Engine) RunStream(next func() (*stream.Tuple, bool)) Result {
 	b := e.built
 	start := time.Now() //jitlint:allow wallclock Result.Wall is operator-facing elapsed time; no deterministic artifact reads it
 	// The run's tracer is the initial plan's: migrations hand it to each
-	// successor plan (adapt.Controller.Migrate → SetTrace), while this local
+	// successor plan (plan.Tap.Handoff → SetTrace), while this local
 	// keeps engine-level events (arrivals, watermarks, clock) attached to
 	// the run even while b is being swapped. Nil means tracing is off and
 	// every call below is a pointer test (DESIGN.md §9).
@@ -195,9 +192,6 @@ func (e *Engine) RunStream(next func() (*stream.Tuple, bool)) Result {
 	}
 	n := b.Catalog.NumSources()
 	sched := newScheduler(b.Joins)
-	if e.opts.Reopt != nil {
-		e.opts.Reopt.Attach(b)
-	}
 	arrivals := 0
 	lastTS := stream.Time(0)
 	for {

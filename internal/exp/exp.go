@@ -161,22 +161,54 @@ func (p Params) Validate() error {
 		return fmt.Errorf("adapt epoch cannot be negative (%v)", p.AdaptEpoch)
 	case p.AdaptEpoch > 0 && !p.Adapt:
 		return fmt.Errorf("adapt epoch set but adaptation is off (enable -adapt)")
-	case p.Zipf != 0 && p.Zipf <= 1:
-		return fmt.Errorf("zipf exponent must exceed 1 (zipf=%g)", p.Zipf)
-	case p.Burst < 0 || (p.Burst > 0 && p.Burst < 1):
-		return fmt.Errorf("burst factor must be at least 1 (burst=%g)", p.Burst)
-	case p.BurstPeriod < 0:
-		return fmt.Errorf("burst period cannot be negative (%v)", p.BurstPeriod)
-	case p.BurstPeriod > 0 && p.Burst <= 1:
-		return fmt.Errorf("burst period set but the burst factor is off (set -burst > 1)")
-	case p.Disorder < 0:
-		return fmt.Errorf("disorder bound cannot be negative (%v)", p.Disorder)
-	case p.Band < 0:
-		return fmt.Errorf("band tolerance cannot be negative (%d)", p.Band)
+	}
+	m := Mutators{
+		Zipf: p.Zipf, Burst: p.Burst,
+		BurstPeriod: float64(p.BurstPeriod) / float64(stream.Minute),
+		Disorder:    float64(p.Disorder) / float64(stream.Second),
+		Band:        float64(p.Band),
+	}
+	if err := m.Check(); err != nil {
+		return err
+	}
+	switch {
 	case p.ObsAggregate && p.ObsAddr == "":
 		return fmt.Errorf("replica aggregation set but the ops endpoint is off (set -obs-addr)")
 	case p.ObsAddr != "" && p.Shards > 1 && !p.ObsAggregate:
 		return fmt.Errorf("ops endpoint on a sharded run requires replica aggregation (enable -obs-aggregate)")
+	}
+	return nil
+}
+
+// Mutators holds the hostile-stream mutator settings (DESIGN.md §8) in the
+// units of the CLI flags that set them: BurstPeriod in minutes, Disorder in
+// seconds. Params.Validate, jitbench and jitgen all check them here.
+type Mutators struct {
+	Zipf, Burst, BurstPeriod, Disorder, Band float64
+	// OwnPeriod marks a burst period with its own positive default (jitgen)
+	// rather than "zero means one window": a burst then needs a positive
+	// period, and a period without a burst is ignored.
+	OwnPeriod bool
+}
+
+// Check returns the first mutator rule the settings break, worded with the
+// flag names, or nil.
+func (m Mutators) Check() error {
+	switch {
+	case m.Zipf != 0 && m.Zipf <= 1:
+		return fmt.Errorf("-zipf exponent must exceed 1, got %g", m.Zipf)
+	case m.Burst < 0 || (m.Burst > 0 && m.Burst < 1):
+		return fmt.Errorf("-burst factor must be at least 1, got %g", m.Burst)
+	case m.OwnPeriod && m.Burst > 1 && m.BurstPeriod <= 0:
+		return fmt.Errorf("-burst needs a positive -burst-period, got %g", m.BurstPeriod)
+	case !m.OwnPeriod && m.BurstPeriod < 0:
+		return fmt.Errorf("-burst-period cannot be negative, got %g", m.BurstPeriod)
+	case !m.OwnPeriod && m.BurstPeriod > 0 && m.Burst <= 1:
+		return fmt.Errorf("-burst-period set but the burst factor is off (set -burst > 1)")
+	case m.Disorder < 0:
+		return fmt.Errorf("-disorder cannot be negative, got %g", m.Disorder)
+	case m.Band < 0:
+		return fmt.Errorf("-band cannot be negative, got %g", m.Band)
 	}
 	return nil
 }

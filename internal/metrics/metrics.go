@@ -59,9 +59,10 @@ type Counters struct {
 	// decision epoch. Charged into CostUnits so adaptive runs carry their
 	// own decision overhead honestly.
 	AdaptUnits uint64
-	// MigrationDups counts deliveries suppressed by the migration dedup tap:
-	// results the successor plan regenerated during replay (or re-delivered
-	// after it) that the run had already emitted (DESIGN.md §7).
+	// MigrationDups counts deliveries the delivery tap (plan.Tap) absorbed
+	// across migrations: results the successor plan regenerated during replay
+	// (or re-delivered after it) that the run had already emitted (DESIGN.md
+	// §7).
 	MigrationDups uint64
 	// LateDropped counts tuples that arrived behind the engine's disorder
 	// watermark (TS < maxSeenTS - bound) and were dropped before ingestion

@@ -71,7 +71,7 @@ const (
 	// number of in-window base tuples snapshotted.
 	KindMigrationCut
 	// KindMigrationDone closes the handoff after replay: Value is the total
-	// duplicate deliveries the dedup tap has absorbed so far.
+	// duplicate deliveries the delivery tap has absorbed so far.
 	KindMigrationDone
 
 	// NumKinds bounds the taxonomy (for counting sinks and kind masks).

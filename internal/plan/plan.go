@@ -1,11 +1,10 @@
-// Package plan constructs execution plans: the X-Join binary trees of
-// Table II (bushy and left-deep), arbitrary user-specified trees, and the
-// alternative M-Join and Eddy topologies of Sec. II/V.
+// Package plan constructs execution plans — the X-Join binary trees of
+// Table II (bushy and left-deep) and arbitrary user-specified trees — and
+// owns the §7 snapshot cut every plan swap goes through (cut.go).
 package plan
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -203,53 +202,9 @@ func (b *Built) Rebuild(shape *Node) *Built {
 
 // RootJoin returns the root operator as its concrete join type (the root of
 // a wired plan is always a join; BuildTree enforces it). Callers that
-// re-route the plan's output — the migration dedup tap — need SetConsumer,
+// re-route the plan's output — the delivery tap (Tap.Install) — need SetConsumer,
 // which the operator.Op interface does not expose.
 func (b *Built) RootJoin() *core.JoinOp { return b.Root.(*core.JoinOp) }
-
-// SnapshotInWindow exports every base tuple still inside the window at the
-// cut, in global arrival order — the plan-level §2 snapshot cut (DESIGN.md
-// §7). Between arrivals, each in-window base tuple sits in exactly one
-// place: its source's feed side, either active in the state or parked in a
-// blacklist (core.JoinOp.SnapshotBase). Tuple IDs are assigned in global
-// delivery order by the source merge, so ordering by (TS, ID, Source)
-// reconstructs the original interleaving exactly; replaying the snapshot
-// into a freshly built plan yields the state that plan would hold had it
-// been started one window before the cut.
-func (b *Built) SnapshotInWindow(cut stream.Time) []*stream.Tuple {
-	var out []*stream.Tuple
-	for _, f := range b.Feeds {
-		out = append(out, f.Op.(*core.JoinOp).SnapshotBase(f.Port, cut)...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].TS != out[j].TS {
-			return out[i].TS < out[j].TS
-		}
-		if out[i].ID != out[j].ID {
-			return out[i].ID < out[j].ID
-		}
-		return out[i].Source < out[j].Source
-	})
-	return out
-}
-
-// ReplayInWindow feeds snapshot rows back through the plan in order: each
-// row is preceded by a full expiry sweep at its timestamp (charged to
-// Counters.Sweeps) and then consumed at its source's feed, exactly the
-// arrival discipline the engine applies. Replaying a SnapshotInWindow cut
-// into a freshly built plan yields the state that plan would hold had it
-// been running since one window before the cut (DESIGN.md §7) — the restore
-// half of both the adaptive migration handoff (internal/adapt) and the
-// durable checkpoint recovery (internal/checkpoint, internal/serve).
-func (b *Built) ReplayInWindow(rows []*stream.Tuple) {
-	n := b.Catalog.NumSources()
-	for _, t := range rows {
-		b.Counters.Sweeps += uint64(len(b.Joins))
-		b.Sweep(t.TS)
-		f := b.Feeds[t.Source]
-		f.Op.Consume(stream.NewComposite(n, t), f.Port)
-	}
-}
 
 // Replicate builds a fresh plan identical to b — same catalog, predicates,
 // shape and options, but new operators, counters, account and sink, sharing

@@ -30,7 +30,7 @@ var errCrash = fmt.Errorf("serve: armed crash point reached")
 // recovered HWM).
 type checkpointer struct {
 	st     *checkpoint.Store
-	tap    *tap
+	srv    *Server
 	every  stream.Time
 	window stream.Time
 	config string
@@ -49,9 +49,6 @@ type checkpointer struct {
 	crashAfterCheckpoints int
 	crashAfterArrivals    uint64
 }
-
-// Attach implements engine.Reoptimizer.
-func (c *checkpointer) Attach(*plan.Built) {}
 
 // Decide implements engine.Reoptimizer: report a checkpoint due when the
 // arrival's timestamp crosses the next checkpoint boundary.
@@ -72,7 +69,8 @@ func (c *checkpointer) Decide(t *stream.Tuple, _ *plan.Built) bool {
 }
 
 // Migrate implements engine.Reoptimizer: the engine has drained deadlines to
-// the cut; write the checkpoint and keep the plan (nil return).
+// the cut, so it is a quiescent cut; write the checkpoint and keep the plan
+// (nil return).
 func (c *checkpointer) Migrate(cut stream.Time, b *plan.Built) *plan.Built {
 	c.save(cut, b)
 	for c.next <= cut {
@@ -97,17 +95,22 @@ func (c *checkpointer) finish(b *plan.Built) {
 // error wins) and durability stops advancing, but the run itself continues —
 // losing freshness is strictly better than killing a live stream.
 func (c *checkpointer) save(cut stream.Time, b *plan.Built) {
-	tail := c.tap.hub.tailSnapshot()
+	tail := c.srv.hub.tailSnapshot()
 	entries := make([]checkpoint.TailEntry, len(tail))
 	for i, d := range tail {
 		entries[i] = checkpoint.TailEntry{Seq: d.Seq, TS: d.TS, Key: d.Key}
 	}
+	// The dedup seed: the tap's keys a replay from this cut could regenerate.
+	var keys []checkpoint.DeliveredKey
+	c.srv.tap.Prune(cut, func(key string, minTS stream.Time) {
+		keys = append(keys, checkpoint.DeliveredKey{MinTS: minTS, Key: key})
+	})
 	ck := &checkpoint.Checkpoint{
 		Cut:       cut,
 		IngestHWM: c.hwm,
-		Delivered: c.tap.seq,
+		Delivered: c.srv.seq,
 		Config:    c.config,
-		Keys:      c.tap.seed(cut, c.window),
+		Keys:      keys,
 		Tail:      entries,
 		Rows:      b.SnapshotInWindow(cut),
 	}

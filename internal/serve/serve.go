@@ -11,12 +11,13 @@
 //
 // Open loads the newest valid checkpoint (corrupt files fall back to their
 // predecessor), refuses it if its config identity differs from the server's,
-// rebuilds the plan, seeds the delivery tap with the checkpoint's dedup keys
-// and delivery sequence, replays the checkpoint rows (plan.ReplayInWindow),
-// and starts the engine with the ingest HWM as the resume mark. The ingest
-// greeting then tells the client to resume past the HWM (re-sent IDs at or
-// below it are skipped as recovery replays), and the subscriber greeting
-// carries the incarnation's delivery floor — the committed sequence minus
+// rebuilds the plan, seeds the delivery tap (plan.Tap) with the checkpoint's
+// dedup keys and the delivery sequence with its committed mark, replays the
+// checkpoint rows behind the tap (plan.Tap.Install, the path a migration
+// handoff takes too), and starts the engine with the ingest HWM as the
+// resume mark. The ingest greeting then tells the client to resume past
+// the HWM (re-sent IDs at or below it are skipped as recovery replays), and
+// the subscriber greeting carries the incarnation's delivery floor — the committed sequence minus
 // the restored ring tail; deliveries at or below the floor are gone for
 // good, while committed-but-unread deliveries inside the tail remain
 // re-readable exactly as they were from the live ring (clients dedup by
@@ -169,10 +170,16 @@ type Server struct {
 	b   *plan.Built
 	lis net.Listener
 	hub *hub
-	tap *tap
+	tap *plan.Tap
 	st  *checkpoint.Store
 	ckp *checkpointer
 	ch  chan *stream.Tuple
+
+	// seq is the delivery sequence high-water mark (it continues past
+	// recovery) and dups counts the recovery regenerations the tap absorbed;
+	// both are written only on the engine goroutine (deliver, the tap).
+	seq  uint64
+	dups uint64
 
 	recovery *RecoveryInfo
 	done     chan struct{}
@@ -241,10 +248,9 @@ func Open(cfg Config) (*Server, error) {
 		}
 	}
 	var resumeID, resumeSeq uint64
-	var seed []checkpoint.DeliveredKey
 	var tail []Delivery
 	if ck != nil {
-		resumeID, resumeSeq, seed = ck.IngestHWM, ck.Delivered, ck.Keys
+		resumeID, resumeSeq = ck.IngestHWM, ck.Delivered
 		// The restored delivery tail must be contiguous and end exactly at
 		// the committed mark, or the ring seed would lie about sequence
 		// numbers.
@@ -258,21 +264,22 @@ func Open(cfg Config) (*Server, error) {
 		}
 	}
 	s.hub = newHub(cfg.Retain, cfg.Policy, resumeSeq, tail)
-	s.tap = newTap(b.Sink, s.hub, resumeSeq, seed)
-	b.RootJoin().SetConsumer(s.tap, operator.Left)
+	s.seq = resumeSeq
+	s.tap = plan.NewTap(b.Sink, cfg.Window, &s.dups)
+	s.tap.OnDeliver = s.deliver
 	if cfg.Trace != nil {
 		// Attached before the replay, so recovery work is visible in the
 		// trace like migration replays are (DESIGN.md §9).
 		b.SetTrace(cfg.Trace)
 	}
-	// Exact-delivery before the replay: the server always drains, and the
-	// replayed state must be the state an exact-mode run would hold.
-	for _, j := range b.Joins {
-		j.SetExact(true)
-	}
-	if ck != nil {
+	if ck == nil {
+		s.tap.Install(b, nil)
+	} else {
+		for _, k := range ck.Keys {
+			s.tap.Seed(k.Key, k.MinTS)
+		}
 		start := time.Now() //jitlint:allow wallclock RecoveryInfo.Elapsed is an operator-facing latency report; replayed state is clock-independent
-		b.ReplayInWindow(ck.Rows)
+		s.tap.Install(b, ck.Rows)
 		s.recovery = &RecoveryInfo{
 			Path: ckPath, Cut: ck.Cut, Rows: len(ck.Rows), Keys: len(ck.Keys),
 			Tail: len(ck.Tail), IngestHWM: resumeID, Delivered: resumeSeq,
@@ -280,9 +287,9 @@ func Open(cfg Config) (*Server, error) {
 		}
 		// Every delivery the replay regenerated was committed pre-crash and
 		// absorbed by the seeded tap; the sequence must not have advanced.
-		if s.tap.seq != resumeSeq {
+		if s.seq != resumeSeq {
 			return nil, fmt.Errorf("serve: recovery replay delivered %d uncommitted results — checkpoint %s is inconsistent",
-				s.tap.seq-resumeSeq, ckPath)
+				s.seq-resumeSeq, ckPath)
 		}
 		s.ingestMaxTS, s.ingestSeen = ck.Cut, true
 	}
@@ -299,7 +306,7 @@ func Open(cfg Config) (*Server, error) {
 			every = cfg.Window
 		}
 		s.ckp = &checkpointer{
-			st: s.st, tap: s.tap, every: every, window: cfg.Window,
+			st: s.st, srv: s, every: every, window: cfg.Window,
 			config: cfg.identity(), hwm: resumeID, pending: resumeID,
 			lastTS:                resumeID2TS(ck),
 			crashAfterCheckpoints: cfg.crashAfterCheckpoints,
@@ -316,6 +323,16 @@ func Open(cfg Config) (*Server, error) {
 	go s.runLoop(eng)
 	go s.acceptLoop()
 	return s, nil
+}
+
+// deliver is the tap's delivery hook: it numbers a delivery and publishes it
+// to the subscriber hub under the key the tap computed. publish may block
+// under the SubBlock policy — that stall propagates back through the engine
+// goroutine to the ingest channel and out to the client's TCP write: the
+// server's bounded-memory backpressure chain.
+func (s *Server) deliver(c *stream.Composite, key string) {
+	s.seq++
+	s.hub.publish(Delivery{Seq: s.seq, TS: c.TS, Key: key})
 }
 
 // resumeID2TS seeds the checkpointer's clock from the recovered cut so a
@@ -360,7 +377,7 @@ func (s *Server) runLoop(eng *engine.Engine) {
 	s.mu.Lock()
 	s.res = res
 	s.mu.Unlock()
-	s.hub.close(true, s.tap.seq)
+	s.hub.close(true, s.seq)
 }
 
 // acceptLoop hands each connection to its own goroutine until the listener
@@ -393,7 +410,7 @@ func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	skipped := s.skipped
 	s.mu.Unlock()
-	st := Stats{Delivered: s.tap.seq, ReplayDups: s.tap.dups, Skipped: skipped}
+	st := Stats{Delivered: s.seq, ReplayDups: s.dups, Skipped: skipped}
 	if s.ckp != nil {
 		st.Checkpoints = s.ckp.saved
 		st.SaveErr = s.ckp.err

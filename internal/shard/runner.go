@@ -195,7 +195,7 @@ func (r *Runner) RunStream(next func() (*stream.Tuple, bool)) Result {
 			replicas[i].SetTrace(r.opt.TraceFor(i))
 		}
 		if coord != nil {
-			ctrls[i] = adapt.NewCoordinated(cfg, coord)
+			ctrls[i] = adapt.NewCoordinated(cfg, coord, replicas[i])
 		}
 	}
 
